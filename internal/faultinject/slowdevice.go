@@ -30,7 +30,6 @@ func (s SlowDevice) Apply(base *sim.CostModel) *sim.CostModel {
 		c.XPBufferHit *= m
 		c.XPBufferMiss *= m
 		c.RMWPenalty *= m
-		c.MediaWrite *= m
 		c.CLFlush *= m
 		c.NTStore *= m
 		c.FlushBytePerKB *= m

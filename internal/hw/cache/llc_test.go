@@ -153,9 +153,14 @@ func TestReleaseReturnsWays(t *testing.T) {
 	if c.PartitionBytes(DefaultPartition) >= before {
 		t.Fatal("reserve did not shrink default partition")
 	}
+	var clk sim.Clock
+	c.Write(&clk, 4096, []byte{1}, p)
 	c.Release(p)
 	if c.PartitionBytes(DefaultPartition) != before {
 		t.Fatal("release did not restore default partition")
+	}
+	if present, _ := c.Contains(4096); present {
+		t.Fatal("release kept the partition's lines")
 	}
 }
 

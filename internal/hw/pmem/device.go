@@ -105,8 +105,6 @@ type Device struct {
 	bufTick  uint64
 	lastRead atomic.Uint64 // last media read address, for seq/rand latency
 
-	bw sim.Bandwidth // shared media write pipe
-
 	Counters Counters
 }
 
@@ -252,7 +250,7 @@ func (d *Device) acceptLine(clk *sim.Clock, addr uint64, chargeAccept bool) {
 			if chargeAccept {
 				clk.Advance(d.costs.XPBufferHit)
 			}
-			d.drainXPLine(clk, base, full)
+			d.drainXPLine(clk, full)
 			return
 		}
 		d.bufMu.Unlock()
@@ -282,19 +280,18 @@ func (d *Device) acceptLine(clk *sim.Clock, addr uint64, chargeAccept bool) {
 		clk.Advance(d.costs.XPBufferMiss)
 	}
 	if evict != nil {
-		d.drainXPLine(clk, evict.addr, evict.mask)
+		d.drainXPLine(clk, evict.mask)
 	}
 }
 
 // drainXPLine writes one XPLine to media, charging the read-modify-write
 // penalty when the staged mask is partial. The media write itself is only
-// accounted (counters + the shared-pipe occupancy metric): with four
-// interleaved DIMMs the array sustains ~9.2 GB/s, an order of magnitude
-// above any workload in the evaluation, so media bandwidth never
-// backpressures writers here. A shared virtual pipe was tried and removed —
-// threads at different virtual-time bases turned it into a causality
-// violation rather than a throughput limit.
-func (d *Device) drainXPLine(clk *sim.Clock, base uint64, mask uint8) {
+// counted: with four interleaved DIMMs the array sustains ~9.2 GB/s, an
+// order of magnitude above any workload in the evaluation, so media
+// bandwidth never backpressures writers here. A shared virtual pipe was
+// tried and removed — threads at different virtual-time bases turned it into
+// a causality violation rather than a throughput limit.
+func (d *Device) drainXPLine(clk *sim.Clock, mask uint8) {
 	cell := clk.Cell()
 	d.Counters.XPLineEvicts.Add(1)
 	d.Counters.MediaWriteB.Add(d.costs.XPLineSize)
@@ -311,12 +308,6 @@ func (d *Device) drainXPLine(clk *sim.Clock, base uint64, mask uint8) {
 		}
 		clk.Advance(d.costs.RMWPenalty)
 	}
-	perLine := d.costs.MediaWrite / d.costs.DIMMs
-	if perLine < 1 {
-		perLine = 1
-	}
-	d.bw.Acquire(clk.Now(), 1, perLine)
-	_ = base
 }
 
 // Flush drains every staged XPBuffer entry to media. Real hardware does this
@@ -332,7 +323,7 @@ func (d *Device) Flush(clk *sim.Clock) {
 	d.fifo = d.fifo[:0]
 	d.bufMu.Unlock()
 	for _, e := range entries {
-		d.drainXPLine(clk, e.addr, e.mask)
+		d.drainXPLine(clk, e.mask)
 	}
 }
 

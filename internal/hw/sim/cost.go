@@ -23,9 +23,8 @@ type CostModel struct {
 	XPBufferHit   int64 // 64 B line arrival that combines into a buffered XPLine
 	XPBufferMiss  int64 // line arrival that allocates a fresh XPLine slot
 	RMWPenalty    int64 // extra cost when evicting a partially-filled XPLine
-	MediaWrite    int64 // writing one full 256 B XPLine to the media (per DIMM)
 	XPLineSize    int64 // bytes per XPLine (Optane media access granularity)
-	DIMMs         int64 // interleaved DIMM count (bandwidth multiplier)
+	DIMMs         int64 // interleaved DIMM count (sizes the default XPBuffer window)
 	InterleaveKiB int64 // interleave stripe size in KiB (4 KiB on Optane)
 	XPBufferLines int64 // write-combining window, in XPLines (0 = 64 per DIMM)
 
@@ -62,7 +61,6 @@ func DefaultCosts() *CostModel {
 		XPBufferHit:   90,
 		XPBufferMiss:  110,
 		RMWPenalty:    430,
-		MediaWrite:    111,
 		XPLineSize:    256,
 		DIMMs:         4,
 		InterleaveKiB: 4,

@@ -132,30 +132,3 @@ func (p *ServerPool) Size() int { return len(p.free) }
 
 // Stats returns the number of jobs served and total busy virtual time.
 func (p *ServerPool) Stats() (jobs, busyNs int64) { return p.jobs.Load(), p.busy.Load() }
-
-// Bandwidth models a shared pipe (the PMem media write path) with a fixed
-// service time per unit. Concurrent users serialize: each transfer starts at
-// max(caller time, pipe free time).
-type Bandwidth struct {
-	mu     sync.Mutex
-	freeAt int64
-	units  atomic.Int64
-}
-
-// Acquire reserves the pipe at virtual time t for units*perUnit nanoseconds
-// and returns the completion time.
-func (b *Bandwidth) Acquire(t int64, units, perUnit int64) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	start := t
-	if b.freeAt > start {
-		start = b.freeAt
-	}
-	done := start + units*perUnit
-	b.freeAt = done
-	b.units.Add(units)
-	return done
-}
-
-// Units returns the cumulative units transferred.
-func (b *Bandwidth) Units() int64 { return b.units.Load() }

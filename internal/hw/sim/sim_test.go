@@ -123,22 +123,6 @@ func TestServerPoolRespectsReadyTime(t *testing.T) {
 	}
 }
 
-func TestBandwidthSerializes(t *testing.T) {
-	var b Bandwidth
-	if done := b.Acquire(0, 10, 7); done != 70 {
-		t.Fatalf("first transfer done at %d", done)
-	}
-	if done := b.Acquire(0, 1, 7); done != 77 {
-		t.Fatalf("second transfer done at %d, want 77", done)
-	}
-	if done := b.Acquire(1000, 1, 7); done != 1007 {
-		t.Fatalf("idle pipe transfer done at %d, want 1007", done)
-	}
-	if b.Units() != 12 {
-		t.Fatalf("Units() = %d", b.Units())
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {
