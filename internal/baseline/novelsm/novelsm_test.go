@@ -181,11 +181,14 @@ func TestCrashRecoveryPMemTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash-stop the store before the platform power-fails: without Halt the
-	// flusher goroutine races the recovery below on the host, mutating shared
-	// machine state while db2 replays the logs.
+	// Crash-stop the store before the platform power-fails, and join its
+	// flusher before recovery: a flush already in flight when Halt runs still
+	// completes (it resets and zeroes its log), and left running it would race
+	// the recovery below on the host, mutating shared machine state while db2
+	// replays the logs.
 	db.Halt()
 	m.Crash()
+	_ = db.Close(th)
 	m.Recover()
 	th2 := m.NewThread(0)
 	db2, err := Open(m, opts, th2)

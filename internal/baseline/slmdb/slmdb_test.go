@@ -202,10 +202,13 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash-stop the store before the platform power-fails: without Halt the
-	// background goroutines race the recovery below on the host.
+	// Crash-stop the store before the platform power-fails, and join its
+	// background goroutines before recovery: a flush already in flight when
+	// Halt runs still completes, and left running it would race the recovery
+	// below on the host.
 	db.Halt()
 	m.Crash()
+	_ = db.Close(th)
 	m.Recover()
 	th2 := m.NewThread(0)
 	db2, err := Open(m, opts, th2)
