@@ -102,17 +102,10 @@ type Options struct {
 	// Shards partitions the keyspace across N independent engine shards, each
 	// with its own sub-MemTable pool, flush pipeline, and lock domain, behind
 	// a router that preserves this API (CacheKV-family engines only). 0 or 1
-	// opens the classic single-engine store; the group-commit knobs below only
-	// take effect when Shards > 1.
+	// opens the classic single-engine store. A write to one shard commits on
+	// the calling session's core with one header CAS, as on the classic
+	// engine; a batch that spans shards commits with two-phase commit.
 	Shards int
-	// GroupCommitWindow is the virtual-time window in nanoseconds within
-	// which concurrently arriving writes coalesce into a single group commit
-	// (one sub-MemTable append + one persistence fence). 0 takes the default
-	// (10µs); negative disables coalescing so every write commits alone.
-	GroupCommitWindow int
-	// GroupCommitMaxOps caps the operations batched into one group commit
-	// (default 64).
-	GroupCommitMaxOps int
 
 	// CompactionWorkers > 0 moves LSM compaction off the spill path onto a
 	// background scheduler with that many worker threads picking jobs by
@@ -168,8 +161,8 @@ type Options struct {
 
 // validate rejects nonsense configurations with a descriptive error rather
 // than letting a negative size wrap around in a uint64 conversion downstream.
-// BlockCacheMB, FilterBitsPerKey and GroupCommitWindow are exempt: negative
-// is their documented "disable" value.
+// BlockCacheMB and FilterBitsPerKey are exempt: negative is their documented
+// "disable" value.
 func (o Options) validate() error {
 	for _, f := range []struct {
 		name string
@@ -187,7 +180,6 @@ func (o Options) validate() error {
 		{"L0Trigger", o.L0Trigger},
 		{"BaseLevelMB", o.BaseLevelMB},
 		{"Shards", o.Shards},
-		{"GroupCommitMaxOps", o.GroupCommitMaxOps},
 		{"CompactionWorkers", o.CompactionWorkers},
 		{"SlowOpCapacity", o.SlowOpCapacity},
 	} {
@@ -335,12 +327,7 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 		o.DisableFlowControl = opts.DisableFlowControl
 		o.CompactionWorkers = opts.CompactionWorkers
 		if opts.Shards > 1 {
-			return core.OpenSharded(m, core.ShardedOptions{
-				Shards:            opts.Shards,
-				GroupCommitWindow: int64(opts.GroupCommitWindow),
-				GroupCommitMaxOps: opts.GroupCommitMaxOps,
-				Base:              o,
-			}, th)
+			return core.OpenSharded(m, core.ShardedOptions{Shards: opts.Shards, Base: o}, th)
 		}
 		return core.Open(m, o, th)
 	case EngineNoveLSM, EngineNoveLSMNoFlush, EngineNoveLSMCache:
@@ -374,14 +361,14 @@ func (db *DB) EngineName() string { return db.inner.Name() }
 // Session creates a simulated thread pinned to the given core. The pinning is
 // deterministic: the session's virtual thread runs on core % Options.Cores,
 // and Session(c).Core() reports that resolved core. Sessions are not safe for
-// concurrent use; create one per goroutine.
+// concurrent use; create one per goroutine. Several sessions may share a
+// core: their writes append to the same sub-MemTable and commit one at a
+// time.
 //
-// On a sharded store (Options.Shards > 1) the same rule extends to the
-// engine's own threads: shard k's group-commit writer is pinned to virtual
-// core k % Options.Cores, so a session on core c shares a core with the
-// writer of shard c (when c < Shards) and with any session on c + i*Cores.
-// Writes route by key hash, not by session core — the session's core decides
-// where its CPU time is modelled, never which shard its keys land in.
+// On a sharded store (Options.Shards > 1) a session's writes commit on its
+// own core, into that core's sub-MemTable of the owning shard. Writes route
+// by key hash, not by session core — the session's core decides where its
+// CPU time is modelled, never which shard its keys land in.
 func (db *DB) Session(core int) *Session {
 	s := &Session{db: db, th: db.machine.NewThread(core)}
 	db.mu.Lock()

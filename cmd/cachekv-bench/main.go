@@ -37,8 +37,6 @@ func main() {
 	obsOut := flag.String("obs-out", "", "write a per-phase cachekv.obs/v1 attribution report here (e.g. BENCH_obs.json)")
 	shards := flag.Int("shards", 0, "CacheKV engine shards (0 or 1 = classic single engine)")
 	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = legacy inline compaction)")
-	groupCommit := flag.Int64("group-commit", 0, "group-commit window in virtual ns (0 = default 10µs, negative disables coalescing; Shards > 1 only)")
-	groupCommitOps := flag.Int("group-commit-max-ops", 0, "max ops per group commit (0 = default 64)")
 	shardOut := flag.String("shard-out", "", "run the shard-scaling suite (YCSB-A/C, 1→32 threads, baseline vs Shards=threads) and write JSON here (ignores -benchmarks)")
 	compactOut := flag.String("compact-out", "", "run the serial-vs-parallel compaction suite (sustained YCSB-A, inline baseline vs background scheduler) and write JSON here (ignores -benchmarks)")
 	compactWorkers := flag.String("compact-workers", "", "comma-separated CompactionWorkers list for -compact-out (default 0,2,4; 0 = inline baseline)")
@@ -96,8 +94,6 @@ func main() {
 		if vsSet {
 			cfg.ValueSize = *valueSize
 		}
-		cfg.GroupCommitWindow = *groupCommit
-		cfg.GroupCommitMaxOps = *groupCommitOps
 		if err := runShardCurve(*shardOut, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -142,8 +138,6 @@ func main() {
 	}
 	cfg.Shards = *shards
 	cfg.CompactionWorkers = *compactionWorkers
-	cfg.GroupCommitWindow = *groupCommit
-	cfg.GroupCommitMaxOps = *groupCommitOps
 	var tr *obs.Trace
 	if *obsOut != "" || *slowopNs > 0 {
 		cfg.Obs = true
@@ -373,7 +367,7 @@ func runShardCurve(out string, cfg bench.ShardCurveConfig) error {
 		}
 		fmt.Printf("%-7s t=%-3d %-9s : %10.1f Kops/s", p.Workload, p.Threads, tag, p.KopsPerSec)
 		if p.Shards > 1 {
-			fmt.Printf("  (%.2fx vs baseline, avg group %.1f ops)", p.SpeedupVsBaseline, p.AvgGroupSize)
+			fmt.Printf("  (%.2fx vs baseline)", p.SpeedupVsBaseline)
 		}
 		if len(p.VerifyViolations) > 0 {
 			fmt.Printf("  OBS-VIOLATIONS: %v", p.VerifyViolations)

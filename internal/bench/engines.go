@@ -81,10 +81,6 @@ type EngineConfig struct {
 	// Shards opens the CacheKV-family engines as a sharded router with this
 	// many engine shards (0 or 1: the classic single engine).
 	Shards int
-	// GroupCommitWindow / GroupCommitMaxOps tune the sharded router's group
-	// commit (virtual ns and ops; zero takes the engine defaults).
-	GroupCommitWindow int64
-	GroupCommitMaxOps int
 	// CompactionWorkers > 0 runs the CacheKV-family engines with the
 	// background compaction scheduler (per shard when sharded); 0 keeps the
 	// legacy inline compaction.
@@ -183,12 +179,7 @@ func (c EngineConfig) Open(kind EngineKind, m *hw.Machine, th *hw.Thread) (kvsto
 		}
 		opts.Trace = c.Trace
 		if c.Shards > 1 {
-			return core.OpenSharded(m, core.ShardedOptions{
-				Shards:            c.Shards,
-				GroupCommitWindow: c.GroupCommitWindow,
-				GroupCommitMaxOps: c.GroupCommitMaxOps,
-				Base:              opts,
-			}, th)
+			return core.OpenSharded(m, core.ShardedOptions{Shards: c.Shards, Base: opts}, th)
 		}
 		return core.Open(m, opts, th)
 	case NoveLSM, NoveLSMWoFlush, NoveLSMCache:

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"cachekv/internal/core"
 	"cachekv/internal/obs"
 )
 
@@ -30,9 +29,6 @@ type ShardCurveConfig struct {
 	// single-engine pace (the paper's steady-state write regime).
 	PoolBytes        uint64 `json:"pool_bytes"`
 	SubMemTableBytes uint64 `json:"sub_memtable_bytes"`
-	// Group-commit knobs forwarded to the sharded runs (zero = defaults).
-	GroupCommitWindow int64 `json:"group_commit_window,omitempty"`
-	GroupCommitMaxOps int   `json:"group_commit_max_ops,omitempty"`
 }
 
 // DefaultShardCurveConfig is the committed BENCH_shard.json configuration:
@@ -59,12 +55,6 @@ type ShardCurvePoint struct {
 	KopsPerSec     float64 `json:"kops_per_sec"`
 	ElapsedVNs     int64   `json:"elapsed_vns"`
 	VirtualNsPerOp float64 `json:"virtual_ns_per_op"`
-
-	// Group-commit effectiveness (zero on the 1-shard baseline).
-	GroupCommits   int64   `json:"group_commits,omitempty"`
-	GroupedOps     int64   `json:"grouped_ops,omitempty"`
-	AvgGroupSize   float64 `json:"avg_group_size,omitempty"`
-	GroupWaitP99Ns int64   `json:"group_wait_p99_ns,omitempty"`
 
 	// SpeedupVsBaseline divides this point's throughput by the same
 	// workload's 1-shard baseline at the same thread count.
@@ -96,8 +86,6 @@ func runShardPoint(cfg ShardCurveConfig, spec YCSBSpec, threads, shards, cores i
 	ec.SubMemTableBytes = cfg.SubMemTableBytes
 	ec.Cores = cores
 	ec.Shards = shards
-	ec.GroupCommitWindow = cfg.GroupCommitWindow
-	ec.GroupCommitMaxOps = cfg.GroupCommitMaxOps
 	ec.Obs = true
 	ec.Trace = tr
 
@@ -120,15 +108,6 @@ func runShardPoint(cfg ShardCurveConfig, spec YCSBSpec, threads, shards, cores i
 		KopsPerSec:     res.KopsPerSec,
 		ElapsedVNs:     res.ElapsedNs,
 		VirtualNsPerOp: float64(res.ElapsedNs) * float64(threads) / float64(res.Ops),
-	}
-	if sh, ok := db.(*core.Sharded); ok {
-		groups, ops, _ := sh.GroupCommitStats()
-		p.GroupCommits, p.GroupedOps = groups, ops
-		if groups > 0 {
-			p.AvgGroupSize = float64(ops) / float64(groups)
-		}
-		_, wait := sh.GroupCommitHists()
-		p.GroupWaitP99Ns = int64(wait.Percentile(0.99))
 	}
 	p.Report = BuildRunReport(res, r, tr, false)
 	p.VerifyViolations = p.Report.Verify()

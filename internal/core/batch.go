@@ -88,10 +88,10 @@ func (e *Engine) ApplyWithDeadline(th *hw.Thread, b *Batch, deadlineNs int64) er
 // commitOps appends ops (with pre-assigned sequence numbers seqs, one per op)
 // to the calling core's sub-MemTable and commits them all with a single CAS
 // on the packed header — the common commit primitive behind Apply, the
-// group-commit writers, and two-phase recovery replay. Sequence numbers are
-// explicit because group commit concatenates requests whose seqs were drawn
-// from the shared counter at arrival time and recovery replays the seqs the
-// prepare record recorded.
+// sharded router's writes, the two-phase apply phase and its recovery
+// replay. Sequence numbers are explicit because the router draws them from
+// the shared counter before it picks the shard, and recovery replays the seqs
+// the prepare record recorded.
 //
 // deadlineV bounds the slot wait (0 = none). Callers that must not fail —
 // two-phase apply past its commit marker, recovery replay — pass 0; a
@@ -121,10 +121,7 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadline
 		s := e.pool.slotFor(core)
 		if s == nil {
 			var aerr error
-			th.InPhase(hw.PhaseOther, func() {
-				s, aerr = e.pool.acquire(th, core, seqs[0], deadlineV)
-			})
-			if aerr != nil {
+			if s, aerr = e.acquireSlot(th, core, seqs[0], deadlineV); aerr != nil {
 				return aerr // ErrStalled before any append: nothing committed
 			}
 			if s == nil {
@@ -138,13 +135,13 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadline
 			return fmt.Errorf("cachekv: batch of %d bytes exceeds sub-MemTable capacity %d",
 				need, s.dataCap())
 		}
-		hdr := s.hdr.Load()
-		count, state, tail := unpackHdr(hdr)
-		if state != stateAllocated {
-			e.pool.coreSlot[core].CompareAndSwap(int32(s.idx), -1)
+		hdr, ok := e.pool.lockAppend(s, core)
+		if !ok {
 			continue
 		}
+		count, _, tail := unpackHdr(hdr)
 		if tail+need > s.dataCap() {
+			s.appendMu.Unlock()
 			if sealed := e.pool.sealForCore(th, core); sealed != nil {
 				e.enqueueSealed(th, sealed)
 			}
@@ -165,7 +162,8 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadline
 		// The transaction's commit point: counter += len(ops), tail += need,
 		// in one atomic compare-and-swap.
 		if !e.pool.casHdr(th, s, hdr, packHdr(count+uint64(len(ops)), stateAllocated, tail+need)) {
-			continue
+			s.appendMu.Unlock()
+			continue // sealed under us, as in write()
 		}
 		for i, op := range ops {
 			if op.kind == util.KindRangeDel {
@@ -201,6 +199,7 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadline
 				s.syncMu.Unlock()
 			})
 		}
+		s.appendMu.Unlock()
 		e.stats.Puts.Add(int64(len(ops)))
 		return nil
 	}

@@ -611,6 +611,24 @@ func (e *Engine) enqueueSealed(th *hw.Thread, sealed *slot) {
 	e.flow.recompute(th.Clock.Now(), "memtable_seal")
 }
 
+// acquireSlot runs pool.acquire for a writer on core. A slot wait that
+// would overrun the write's deadline refuses the write with ErrStalled before
+// anything is appended; like an admission rejection it counts in
+// flow_writes_rejected and leaves a write_stall event for slow-op forensics.
+func (e *Engine) acquireSlot(th *hw.Thread, core int, listSeed uint64, deadlineV int64) (*slot, error) {
+	var s *slot
+	var err error
+	th.InPhase(hw.PhaseOther, func() {
+		s, err = e.pool.acquire(th, core, listSeed, deadlineV)
+	})
+	if err != nil {
+		e.flow.rejectedWrites.Add(1)
+		e.trace.Emit(th.Clock.Now(), "write_stall", "shard", e.opts.Shard, "state", "pool",
+			"deadline_v_ns", deadlineV)
+	}
+	return s, err
+}
+
 func (e *Engine) write(th *hw.Thread, key, value []byte, kind util.ValueKind, deadlineV int64) error {
 	if err := e.err(); err != nil {
 		return err
@@ -628,11 +646,8 @@ func (e *Engine) write(th *hw.Thread, key, value []byte, kind util.ValueKind, de
 		s := e.pool.slotFor(core)
 		if s == nil {
 			var aerr error
-			th.InPhase(hw.PhaseOther, func() {
-				s, aerr = e.pool.acquire(th, core, seq, deadlineV)
-			})
-			if aerr != nil {
-				return aerr // ErrStalled: the slot wait overran the deadline
+			if s, aerr = e.acquireSlot(th, core, seq, deadlineV); aerr != nil {
+				return aerr
 			}
 			if s == nil {
 				// The pool aborted: the engine failed while we waited.
@@ -642,14 +657,13 @@ func (e *Engine) write(th *hw.Thread, key, value []byte, kind util.ValueKind, de
 				continue
 			}
 		}
-		hdr := s.hdr.Load()
-		count, state, tail := unpackHdr(hdr)
-		if state != stateAllocated {
-			// Slot was sealed under us (FlushAll); drop the mapping and retry.
-			e.pool.coreSlot[core].CompareAndSwap(int32(s.idx), -1)
-			continue
+		hdr, ok := e.pool.lockAppend(s, core)
+		if !ok {
+			continue // sealed or reassigned under us: retry on a fresh slot
 		}
+		count, _, tail := unpackHdr(hdr)
 		if tail+need > s.dataCap() {
+			s.appendMu.Unlock()
 			// Full: seal, queue the copy-based flush, grab a fresh one.
 			if sealed := e.pool.sealForCore(th, core); sealed != nil {
 				e.enqueueSealed(th, sealed)
@@ -670,7 +684,9 @@ func (e *Engine) write(th *hw.Thread, key, value []byte, kind util.ValueKind, de
 			f.Add(key)
 		}
 		if !e.pool.casHdr(th, s, hdr, packHdr(count+1, stateAllocated, tail+need)) {
-			// Another thread on this core raced us; retry cleanly.
+			// The slot was sealed under us (FlushAll or a force-seal by a
+			// starved acquire); the bytes past its sealed tail are dead.
+			s.appendMu.Unlock()
 			continue
 		}
 		if kind == util.KindRangeDel {
@@ -705,6 +721,7 @@ func (e *Engine) write(th *hw.Thread, key, value []byte, kind util.ValueKind, de
 				s.syncMu.Unlock()
 			})
 		}
+		s.appendMu.Unlock()
 		e.stats.Puts.Add(1)
 		return nil
 	}
@@ -718,7 +735,31 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 		return nil, err
 	}
 	e.stats.Gets.Add(1)
-	snapshot := e.seq.Load()
+	return e.getAt(th, key, e.seq.Load())
+}
+
+// getAt reads key at snapshot, or at a later snapshot taken during the call.
+// The global skiplist keeps one entry per user key: once skiplist compaction
+// replaces it with a version newer than snapshot, the version snapshot should
+// see may survive nowhere else in memory, and the lookup would fall through
+// to an older one. The lookup then restarts at a fresh snapshot, which covers
+// the replacing version. Get exposes no snapshot, so the later snapshot still
+// yields a read that is linearizable within the call.
+func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) ([]byte, error) {
+	for {
+		v, replaced, err := e.lookup(th, key, snapshot)
+		fresh := e.seq.Load()
+		if !replaced || fresh <= snapshot {
+			return v, err
+		}
+		snapshot = fresh
+	}
+}
+
+// lookup is one pass of getAt at a fixed snapshot. replaced reports that the
+// global skiplist held a version of key newer than snapshot, so the result may
+// be stale.
+func (e *Engine) lookup(th *hw.Thread, key []byte, snapshot uint64) (value []byte, replaced bool, err error) {
 	var res kvstore.UserGetResult
 
 	// 1. Active sub-MemTables: probe the slot's negative filter first — a
@@ -784,7 +825,8 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 			})
 			if ok {
 				gseq, kind, addr := decodeGlobalVal(gv)
-				if gseq <= snapshot && kind != util.KindRangeDel {
+				replaced = gseq > snapshot
+				if !replaced && kind != util.KindRangeDel {
 					// The global list stores absolute ImmZone addresses; bound
 					// the fetch by the zone's remaining extent.
 					if zone := e.immArena.Region(); addr < zone.End() {
@@ -827,7 +869,7 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 			v, fseq, found, deleted, terr = e.tree.Get(th, key, snapshot)
 		})
 		if terr != nil {
-			return nil, terr
+			return nil, replaced, terr
 		}
 		if found {
 			res.Consider(v, fseq, util.KindValue)
@@ -842,12 +884,12 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	// skipped for has res.Seq > maxSpilledSeq, and every tree tombstone's
 	// sequence is at or below maxSpilledSeq, so it could not cover anyway.
 	if cover := e.rangeTombs.coverSeq(key, snapshot); cover > 0 && (!res.Found || cover > res.Seq) {
-		return nil, kvstore.ErrNotFound
+		return nil, replaced, kvstore.ErrNotFound
 	}
 	if !res.Found || res.Kind == util.KindDelete {
-		return nil, kvstore.ErrNotFound
+		return nil, replaced, kvstore.ErrNotFound
 	}
-	return res.Value, nil
+	return res.Value, replaced, nil
 }
 
 // Scan implements kvstore.DB: a merged ordered walk over every source.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
@@ -262,6 +264,104 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	if e.stats.Puts.Load() != writers*perW {
 		t.Fatalf("puts = %d", e.stats.Puts.Load())
+	}
+}
+
+// TestSameCoreWriters runs two writers on one core, which the public
+// Session contract allows. Both append at the same slot's tail before the
+// commit CAS, so unless they are serialized one can overwrite the other's
+// committed entry bytes.
+func TestSameCoreWriters(t *testing.T) {
+	m := testMachine()
+	e, th := openEngine(t, m, smallOpts())
+	defer e.Close(th)
+	const writers, per = 2, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wth := m.NewThread(0)
+			for i := 0; i < per; i++ {
+				if err := e.Put(wth, sameCoreKey(w, i), sameCoreValue(w, i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkSameCoreWrites(t, e, th, writers, per)
+}
+
+func sameCoreKey(w, i int) []byte   { return []byte(fmt.Sprintf("w%d-%06d", w, i)) }
+func sameCoreValue(w, i int) []byte { return []byte(fmt.Sprintf("val-w%d-%06d", w, i)) }
+
+// checkSameCoreWrites reads back every key the writers acked.
+func checkSameCoreWrites(t *testing.T, db kvstore.DB, th *hw.Thread, writers, per int) {
+	t.Helper()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < per; i++ {
+			v, err := db.Get(th, sameCoreKey(w, i))
+			if err != nil || string(v) != string(sameCoreValue(w, i)) {
+				t.Fatalf("Get(%s) = %q, %v; want %q", sameCoreKey(w, i), v, err, sameCoreValue(w, i))
+			}
+		}
+	}
+}
+
+// TestGetAfterGlobalReplacement pins a Get against skiplist compaction. The
+// global skiplist keeps one entry per user key, so once a version newer than
+// the Get's snapshot replaces it, the version the snapshot saw is gone from
+// memory; the Get must not fall through to the older version in the tree.
+func TestGetAfterGlobalReplacement(t *testing.T) {
+	e, th := openEngine(t, testMachine(), smallOpts())
+	defer e.Close(th)
+	key := []byte("key")
+	put := func(v string) {
+		if err := e.Put(th, key, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("v0")
+	if err := e.FlushAll(th); err != nil { // v0 spills into the tree
+		t.Fatal(err)
+	}
+	put("v1")
+	flushAndCompact(t, e, th) // v1 is the global skiplist's entry
+	snapshot := e.seq.Load()
+	put("v2")
+	flushAndCompact(t, e, th) // v2 replaces it
+	v, err := e.getAt(th, key, snapshot)
+	if err != nil || (string(v) != "v1" && string(v) != "v2") {
+		t.Fatalf("Get at a snapshot that sees v1 = %q, %v; want v1 or v2", v, err)
+	}
+}
+
+// flushAndCompact seals every core's slot and waits until the copy-based
+// flushes land and skiplist compaction has merged every flushed table into
+// the global skiplist, without spilling the ImmZone.
+func flushAndCompact(t *testing.T, e *Engine, th *hw.Thread) {
+	t.Helper()
+	for core := range e.pool.coreSlot {
+		if s := e.pool.sealForCore(th, core); s != nil {
+			e.enqueueSealed(th, s)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		settled := e.pendingFlushes.Load() == 0
+		e.mem.mu.RLock()
+		for _, t := range e.mem.imms {
+			settled = settled && t.compacted
+		}
+		e.mem.mu.RUnlock()
+		if settled {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("flush and skiplist compaction did not settle")
+		}
+		runtime.Gosched()
 	}
 }
 

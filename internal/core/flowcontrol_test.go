@@ -430,20 +430,26 @@ func TestFlowPoolAcquireDeadline(t *testing.T) {
 	defer e.Close(th)
 
 	val := make([]byte, 4<<10)
-	var sawStall bool
 	for i := 0; i < 2000; i++ {
+		deadlineV := th.Clock.Now() + 50
 		err := e.PutWithDeadline(th, []byte(fmt.Sprintf("k%06d", i)), val, 50)
 		if err != nil {
 			if !errors.Is(err, ErrStalled) {
 				t.Fatal(err)
 			}
-			sawStall = true
+			// The refused writer waited out its deadline, and the refusal
+			// counts like an admission rejection.
+			if now := th.Clock.Now(); now < deadlineV {
+				t.Fatalf("stalled at %d, before the deadline %d", now, deadlineV)
+			}
+			if got := e.FlowStats().RejectedWrites; got != 1 {
+				t.Fatalf("RejectedWrites = %d after one slot-wait stall, want 1", got)
+			}
 			break
 		}
 	}
 	// Whether a stall occurs depends on flush keeping up; either way the
 	// engine must still accept unbounded writes afterwards.
-	_ = sawStall
 	if err := e.Put(th, []byte("tail"), []byte("v")); err != nil {
 		t.Fatalf("legacy write after deadline traffic: %v", err)
 	}

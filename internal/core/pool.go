@@ -68,6 +68,15 @@ type slot struct {
 
 	hdr atomic.Uint64 // packed header (authoritative mirror of the cached word)
 
+	// appendMu is held by a writer from its header check to the end of its
+	// commit, and by acquire while it hands the slot to a new owner. A
+	// writer stores entry bytes at the tail before the commit CAS, so
+	// without it two sessions on one core would overwrite each other's
+	// bytes, and a writer holding a stale pointer to a slot that was sealed,
+	// freed and reassigned to another core could commit into it — a lost CAS
+	// cannot undo clobbered bytes. Host-only: it charges no virtual time.
+	appendMu sync.Mutex
+
 	// DRAM-side lazy index state (Section III-B), guarded by syncMu.
 	syncMu    sync.Mutex
 	list      *skiplist.List
@@ -280,6 +289,20 @@ func (p *pool) slotFor(core int) *slot {
 	return slots[idx]
 }
 
+// lockAppend takes s's append lock for a writer on core and returns the
+// header to commit against. When s is no longer core's allocated slot it
+// releases the lock, drops core's stale mapping and reports false.
+func (p *pool) lockAppend(s *slot, core int) (uint64, bool) {
+	s.appendMu.Lock()
+	hdr := s.hdr.Load()
+	if _, state, _ := unpackHdr(hdr); state == stateAllocated && s.owner.Load() == int32(core) {
+		return hdr, true
+	}
+	s.appendMu.Unlock()
+	p.coreSlot[core].CompareAndSwap(int32(s.idx), -1)
+	return 0, false
+}
+
 // acquire assigns a free sub-MemTable to core, blocking (in both real and
 // virtual time) until one is available. Waiting time is how write stalls
 // surface when the background flush cannot keep up (Exp#5 / Exp#7).
@@ -297,6 +320,11 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 		if p.aborted.Load() {
 			return nil, nil
 		}
+		// Another writer on this core may have acquired a slot first; a
+		// second one would leave that slot allocated but unmapped.
+		if s := p.slotFor(core); s != nil {
+			return s, nil
+		}
 		var best *slot
 		for _, s := range p.slotList() {
 			_, state, _ := unpackHdr(s.hdr.Load())
@@ -309,11 +337,19 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 			// Wait out the (virtual) tail of the flush that freed it.
 			if fa := best.freeAt.Load(); fa > th.Clock.Now() {
 				if deadlineV > 0 && fa > deadlineV {
+					// The slot frees only after the deadline. A real writer
+					// cannot know that; it waits until its deadline, as on
+					// the no-free-slot path below, and then gives up.
+					if w := deadlineV - th.Clock.Now(); w > 0 {
+						p.allocWaitNs.Add(w)
+						th.Clock.AdvanceTo(deadlineV)
+					}
 					return nil, ErrStalled
 				}
 				p.allocWaitNs.Add(fa - th.Clock.Now())
 				th.Clock.AdvanceTo(fa)
 			}
+			best.appendMu.Lock()
 			best.syncMu.Lock()
 			best.list = skiplist.New(icmp, listSeed)
 			best.listCount = 0
@@ -323,6 +359,7 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 			best.owner.Store(int32(core))
 			p.writeHdr(th, best, packHdr(0, stateAllocated, 0))
 			p.coreSlot[core].Store(int32(best.idx))
+			best.appendMu.Unlock()
 			return best, nil
 		}
 		// No free sub-MemTable: count the miss and, if the pressure is

@@ -3,18 +3,13 @@ package core
 // shard.go implements the sharded multi-core deployment of CacheKV: the
 // keyspace is hash-partitioned across N full engine instances — each with its
 // own sub-MemTable pool, flush/spill/index pipelines, ImmZone, LSM tree, and
-// lock domain — behind a router that preserves the kvstore.DB surface. Two
-// mechanisms ride on top of the partitioning:
-//
-//   - Group commit: one writer goroutine per shard coalesces concurrently
-//     arriving Put/Delete/Batch requests into a single sub-MemTable append
-//     committed by one CAS and made durable by one fence, amortizing the
-//     persistence point across the group. Callers park until their group's
-//     fence lands (the wait is attributed to the "lock" layer).
-//
-//   - Two-phase commit for cross-shard atomic batches: per-shard prepare
-//     records plus a single commit marker in a global commit log (twopc.go),
-//     so recovery can resolve in-doubt groups all-or-nothing.
+// lock domain — behind a router that preserves the kvstore.DB surface. A
+// write that touches one shard commits on the caller's thread exactly like
+// the classic engine: one append into the caller's core's sub-MemTable of
+// that shard and one header CAS. A batch that spans shards goes through
+// two-phase commit: per-shard prepare records plus a single commit marker in
+// a global commit log (twopc.go), so recovery can resolve in-doubt batches
+// all-or-nothing.
 //
 // The LLC is way-granular, so the router reserves ONE pinned partition sized
 // for the sum of all shard pools and hands it to every shard engine
@@ -25,10 +20,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
-	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -43,15 +36,6 @@ import (
 type ShardedOptions struct {
 	// Shards is the number of engine shards (>= 1).
 	Shards int
-	// GroupCommitWindow is the virtual-time window (ns) within which
-	// concurrently arriving write requests coalesce into one group; requests
-	// arriving later than the group leader's arrival + window start the next
-	// group. 0 takes the default (10µs). Negative disables coalescing
-	// (every request commits alone — useful for A/B measurement).
-	GroupCommitWindow int64
-	// GroupCommitMaxOps caps the operations batched into one group commit.
-	// 0 takes the default (64).
-	GroupCommitMaxOps int
 	// PrepareLogBytes / CommitLogBytes size the per-shard two-phase prepare
 	// logs and the global commit-marker log (defaults 256 KiB each).
 	PrepareLogBytes uint64
@@ -62,21 +46,11 @@ type ShardedOptions struct {
 	Base Options
 }
 
-const (
-	defaultGroupCommitWindow = 10_000 // 10µs of virtual time
-	defaultGroupCommitMaxOps = 64
-	defaultTwoPCLogBytes     = 256 << 10
-)
+const defaultTwoPCLogBytes = 256 << 10
 
 func (o ShardedOptions) withDefaults() ShardedOptions {
 	if o.Shards < 1 {
 		o.Shards = 1
-	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = defaultGroupCommitWindow
-	}
-	if o.GroupCommitMaxOps <= 0 {
-		o.GroupCommitMaxOps = defaultGroupCommitMaxOps
 	}
 	if o.PrepareLogBytes == 0 {
 		o.PrepareLogBytes = defaultTwoPCLogBytes
@@ -127,217 +101,6 @@ func (o ShardedOptions) shardOptions(k int, prefix string, seq *atomic.Uint64, p
 	return eo
 }
 
-// writeReq is one caller's parked write: its operations with pre-assigned
-// sequence numbers, the virtual arrival time, and the completion signal. The
-// writer fills doneV/err before closing done.
-type writeReq struct {
-	ops   []batchOp
-	seqs  []uint64
-	bytes uint64 // rough encoded-size estimate for group byte budgeting
-	at    int64  // caller's virtual clock at submission
-	// deadlineV is the caller's absolute virtual-time write deadline (0 =
-	// none). The group inherits the laxest member deadline; a member whose
-	// own deadline expires fails alone via the degrade path.
-	deadlineV int64
-	doneV     int64 // group fence's virtual completion time
-	err       error
-	done      chan struct{}
-}
-
-// shardWriter is one shard's group-commit loop: a dedicated goroutine (with
-// its own virtual thread pinned to core shard%cores) that drains the request
-// channel, coalesces adjacent requests into one commit, and answers every
-// member with the group's fence time.
-type shardWriter struct {
-	sh  *Sharded
-	eng *Engine
-	id  int
-	th  *hw.Thread
-	ch  chan *writeReq
-
-	maxOps   int
-	maxBytes uint64
-	windowNs int64
-
-	mu     sync.RWMutex // guards closed against concurrent submits
-	closed bool
-}
-
-func (w *shardWriter) submit(req *writeReq) error {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if w.closed {
-		return errEngineClosed
-	}
-	w.ch <- req
-	return nil
-}
-
-func (w *shardWriter) stop() {
-	w.mu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.ch)
-	}
-	w.mu.Unlock()
-}
-
-// loop drains requests, assembling groups bounded by op count, encoded bytes,
-// and the virtual arrival window. pending carries a request that arrived past
-// the current group's window into the next group.
-func (w *shardWriter) loop() {
-	defer w.sh.wg.Done()
-	var pending *writeReq
-	group := make([]*writeReq, 0, 16)
-	for {
-		var first *writeReq
-		if pending != nil {
-			first, pending = pending, nil
-		} else {
-			var ok bool
-			first, ok = <-w.ch
-			if !ok {
-				return
-			}
-		}
-		group = append(group[:0], first)
-		nOps := len(first.ops)
-		nBytes := first.bytes
-		drained := false
-	coalesce:
-		for nOps < w.maxOps && nBytes < w.maxBytes && w.windowNs >= 0 {
-			select {
-			case r, ok := <-w.ch:
-				if !ok {
-					drained = true
-					break coalesce
-				}
-				if r.at-first.at > w.windowNs {
-					pending = r
-					break coalesce
-				}
-				group = append(group, r)
-				nOps += len(r.ops)
-				nBytes += r.bytes
-			default:
-				break coalesce
-			}
-		}
-		w.commitGroup(group)
-		if drained && pending == nil {
-			return
-		}
-	}
-}
-
-// commitGroup appends the whole group with one commitOps call (one slot
-// append, one commit CAS) and one fsync-equivalent fence, then releases every
-// member at the fence's virtual time. On a multi-member failure each request
-// retries alone so one oversized batch cannot poison its neighbours.
-func (w *shardWriter) commitGroup(group []*writeReq) {
-	th := w.th
-	// The group starts when the writer is free AND the last member arrived.
-	start := th.Clock.Now()
-	for _, r := range group {
-		if r.at > start {
-			start = r.at
-		}
-	}
-	th.Clock.AdvanceTo(start)
-
-	// The group-commit queue is the write path's last unbounded wait: under
-	// sustained overload requests park behind earlier groups for longer than
-	// any in-engine stall. A member whose deadline passed while it queued is
-	// rejected here, before any of its ops reach the commit CAS, so it is
-	// fully absent and its caller observes ErrStalled at exactly its own
-	// deadline instead of an arbitrarily late ack.
-	kept := group[:0]
-	for _, r := range group {
-		if r.deadlineV > 0 && start > r.deadlineV {
-			r.doneV = r.deadlineV
-			r.err = ErrStalled
-			w.eng.flow.rejectedWrites.Add(1)
-			close(r.done)
-			continue
-		}
-		kept = append(kept, r)
-	}
-	group = kept
-	if len(group) == 0 {
-		return
-	}
-
-	// The group's slot wait runs under the laxest member deadline: if any
-	// member carries no deadline the group must not fail on one, and on a
-	// stall the degrade path below retries members individually so only the
-	// writers whose own deadlines expired observe ErrStalled — rejection
-	// happens before the commit CAS, so a failed member is fully absent.
-	groupDeadline := int64(-1)
-	for _, r := range group {
-		if r.deadlineV == 0 {
-			groupDeadline = 0
-			break
-		}
-		if r.deadlineV > groupDeadline {
-			groupDeadline = r.deadlineV
-		}
-	}
-	if groupDeadline < 0 {
-		groupDeadline = 0
-	}
-
-	var err error
-	if len(group) == 1 {
-		err = w.eng.commitOps(th, group[0].ops, group[0].seqs, group[0].deadlineV)
-	} else {
-		total := 0
-		for _, r := range group {
-			total += len(r.ops)
-		}
-		ops := make([]batchOp, 0, total)
-		seqs := make([]uint64, 0, total)
-		for _, r := range group {
-			ops = append(ops, r.ops...)
-			seqs = append(seqs, r.seqs...)
-		}
-		err = w.eng.commitOps(th, ops, seqs, groupDeadline)
-		if err != nil {
-			// Degrade to per-request commits: a capacity error (or stall)
-			// belongs to the request that overflowed or expired, not to the
-			// whole group.
-			for _, r := range group {
-				w.commitGroup([]*writeReq{r})
-			}
-			return
-		}
-	}
-	if err == nil {
-		// The group's single persistence fence (the amortized fsync).
-		th.InPhase(hw.PhaseWAL, func() {
-			th.Clock.Advance(w.sh.m.Costs.Fence)
-		})
-	}
-	doneV := th.Clock.Now()
-
-	w.sh.stats.groups.Add(1)
-	w.sh.stats.groupedOps.Add(int64(len(group)))
-	w.sh.perShardGroups[w.id].Add(1)
-	w.sh.batchHist.Record(int64(len(group)))
-	for _, r := range group {
-		r.doneV = doneV
-		r.err = err
-		w.sh.waitHist.Record(doneV - r.at)
-		close(r.done)
-	}
-}
-
-// shardStats aggregates router-level counters.
-type shardStats struct {
-	groups     atomic.Int64 // group commits executed
-	groupedOps atomic.Int64 // write requests that went through group commit
-	crossBatch atomic.Int64 // cross-shard two-phase batches committed
-}
-
 // Sharded is the N-shard CacheKV deployment. It implements kvstore.DB.
 type Sharded struct {
 	m    *hw.Machine
@@ -348,16 +111,10 @@ type Sharded struct {
 	part    cache.PartitionID
 	ownPart bool
 
-	shards  []*Engine
-	writers []*shardWriter
-	wg      sync.WaitGroup
+	shards []*Engine
+	tpc    *twoPC
 
-	tpc *twoPC
-
-	stats          shardStats
-	perShardGroups []atomic.Int64
-	batchHist      *histogram.H // ops per group commit
-	waitHist       *histogram.H // caller park time (virtual ns)
+	crossBatches atomic.Int64 // cross-shard two-phase batches committed
 
 	trace  *obs.Trace
 	closed atomic.Bool
@@ -372,13 +129,10 @@ func OpenSharded(m *hw.Machine, o ShardedOptions, th *hw.Thread) (*Sharded, erro
 		prefix = "cachekv"
 	}
 	sh := &Sharded{
-		m:              m,
-		opts:           o,
-		prefix:         prefix,
-		trace:          o.Base.Trace,
-		batchHist:      histogram.New(),
-		waitHist:       histogram.New(),
-		perShardGroups: make([]atomic.Int64, o.Shards),
+		m:      m,
+		opts:   o,
+		prefix: prefix,
+		trace:  o.Base.Trace,
 	}
 	if o.Base.SharedSeq != nil {
 		sh.seq = o.Base.SharedSeq
@@ -425,32 +179,6 @@ func OpenSharded(m *hw.Machine, o ShardedOptions, th *hw.Thread) (*Sharded, erro
 		}, walCap*3/4, walCap*15/16)
 	}
 
-	// Group-commit writers, one per shard, pinned round-robin over the cores.
-	maxBytes := o.Base.SubMemTableBytes / 4
-	if maxBytes > 32<<10 {
-		maxBytes = 32 << 10
-	}
-	if maxBytes < 4<<10 {
-		maxBytes = 4 << 10
-	}
-	for k := 0; k < o.Shards; k++ {
-		w := &shardWriter{
-			sh:       sh,
-			eng:      sh.shards[k],
-			id:       k,
-			th:       m.NewThread(k).SetName(fmt.Sprintf("shard%d/writer", k)),
-			ch:       make(chan *writeReq, 1024),
-			maxOps:   o.GroupCommitMaxOps,
-			maxBytes: maxBytes,
-			windowNs: o.GroupCommitWindow,
-		}
-		if o.GroupCommitWindow < 0 {
-			w.windowNs = -1
-		}
-		sh.writers = append(sh.writers, w)
-		sh.wg.Add(1)
-		go w.loop()
-	}
 	return sh, nil
 }
 
@@ -477,11 +205,6 @@ func (sh *Sharded) Shards() int { return len(sh.shards) }
 // Shard exposes shard k's engine (tests and tooling).
 func (sh *Sharded) Shard(k int) *Engine { return sh.shards[k] }
 
-// WriterCore reports the virtual core shard k's group-commit writer is pinned
-// to (k modulo the machine's core count) — the deterministic session/shard
-// core mapping documented on cachekv.DB.Session.
-func (sh *Sharded) WriterCore(k int) int { return sh.writers[k].th.Core }
-
 func (sh *Sharded) err() error {
 	if sh.closed.Load() {
 		return errEngineClosed
@@ -497,27 +220,6 @@ func (sh *Sharded) Name() string {
 	return fmt.Sprintf("CacheKV(shards=%d)", len(sh.shards))
 }
 
-// submitAndWait routes one pre-sequenced request to shard idx's writer and
-// parks the caller until the group's fence lands. The park is attributed to
-// the lock layer: it is commit-ordering wait, the sharded analogue of the
-// single-writer lock the paper's Figure 5(b) charges there.
-func (sh *Sharded) submitAndWait(th *hw.Thread, idx int, ops []batchOp, seqs []uint64, deadlineV int64) error {
-	var bytes uint64
-	for _, op := range ops {
-		bytes += uint64(len(op.key)+len(op.value)) + 24
-	}
-	req := &writeReq{ops: ops, seqs: seqs, bytes: bytes, at: th.Clock.Now(),
-		deadlineV: deadlineV, done: make(chan struct{})}
-	if err := sh.writers[idx].submit(req); err != nil {
-		return err
-	}
-	th.InPhase(hw.PhaseLock, func() {
-		<-req.done
-		th.Clock.AdvanceTo(req.doneV)
-	})
-	return req.err
-}
-
 func (sh *Sharded) write1(th *hw.Thread, key, value []byte, kind util.ValueKind, deadlineNs int64) error {
 	if err := sh.err(); err != nil {
 		return err
@@ -527,16 +229,13 @@ func (sh *Sharded) write1(th *hw.Thread, key, value []byte, kind util.ValueKind,
 	th.ChargeDRAM(1)
 	idx := sh.ShardOf(key)
 	// Admission runs on the owning shard's flow controller before a sequence
-	// number is drawn or the request reaches the writer, so a rejected write
-	// is fully absent and the group-commit pipeline only carries admitted
-	// work.
+	// number is drawn, so a rejected write is fully absent.
 	deadlineV := absDeadline(th, deadlineNs)
 	if err := sh.shards[idx].flow.admitWrite(th, deadlineV); err != nil {
 		return err
 	}
 	seq := sh.seq.Add(1)
-	return sh.submitAndWait(th, idx,
-		[]batchOp{{key: key, value: value, kind: kind}}, []uint64{seq}, deadlineV)
+	return sh.shards[idx].commitOps(th, []batchOp{{key: key, value: value, kind: kind}}, []uint64{seq}, deadlineV)
 }
 
 // Put implements kvstore.DB.
@@ -545,8 +244,8 @@ func (sh *Sharded) Put(th *hw.Thread, key, value []byte) error {
 }
 
 // PutWithDeadline is Put bounded by deadlineNs virtual ns (see
-// Engine.PutWithDeadline): admission, the group-commit slot wait, and
-// ImmZone backpressure all honour the deadline and fail with ErrStalled.
+// Engine.PutWithDeadline): admission, the slot wait, and ImmZone
+// backpressure all honour the deadline and fail with ErrStalled.
 func (sh *Sharded) PutWithDeadline(th *hw.Thread, key, value []byte, deadlineNs int64) error {
 	return sh.write1(th, key, value, util.KindValue, deadlineNs)
 }
@@ -598,7 +297,7 @@ func (sh *Sharded) DeleteRangeWithDeadline(th *hw.Thread, start, end []byte, dea
 		if err := sh.shards[0].flow.admitWrite(th, deadlineV); err != nil {
 			return err
 		}
-		return sh.submitAndWait(th, 0, []batchOp{op}, []uint64{firstSeq}, deadlineV)
+		return sh.shards[0].commitOps(th, []batchOp{op}, []uint64{firstSeq}, deadlineV)
 	}
 	portions := make([]*shardPortion, len(sh.shards))
 	for k := range sh.shards {
@@ -635,7 +334,7 @@ func (sh *Sharded) Ingest(th *hw.Thread, entries []lsm.IngestEntry) error {
 }
 
 // Get implements kvstore.DB: reads route directly to the owning shard on the
-// caller's thread — no group, no park.
+// caller's thread.
 func (sh *Sharded) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	if err := sh.err(); err != nil {
 		return nil, err
@@ -666,8 +365,9 @@ func (sh *Sharded) Scan(th *hw.Thread, start []byte, limit int, fn func(key, val
 }
 
 // Apply commits an atomic multi-key batch. A batch whose keys all hash to one
-// shard commits exactly like the single-engine path (one CAS); a cross-shard
-// batch goes through the two-phase protocol in twopc.go.
+// shard commits exactly like the single-engine path (one CAS on the caller's
+// thread); a cross-shard batch goes through the two-phase protocol in
+// twopc.go.
 func (sh *Sharded) Apply(th *hw.Thread, b *Batch) error {
 	return sh.ApplyWithDeadline(th, b, sh.opts.Base.WriteStallDeadline)
 }
@@ -708,7 +408,7 @@ func (sh *Sharded) ApplyWithDeadline(th *hw.Thread, b *Batch, deadlineNs int64) 
 		if err := sh.shards[k].flow.admitWrite(th, deadlineV); err != nil {
 			return err
 		}
-		return sh.submitAndWait(th, k, byShard[k].ops, byShard[k].seqs, deadlineV)
+		return sh.shards[k].commitOps(th, byShard[k].ops, byShard[k].seqs, deadlineV)
 	}
 	portions := make([]*shardPortion, 0, len(byShard))
 	// Deterministic shard order for the prepare/apply sequence.
@@ -744,16 +444,12 @@ func (sh *Sharded) Halt() {
 	}
 }
 
-// Close implements kvstore.DB: drain the writers, close every shard, release
-// the shared partition.
+// Close implements kvstore.DB: close every shard, release the shared
+// partition.
 func (sh *Sharded) Close(th *hw.Thread) error {
 	if sh.closed.Swap(true) {
 		return nil
 	}
-	for _, w := range sh.writers {
-		w.stop()
-	}
-	sh.wg.Wait()
 	var first error
 	for _, e := range sh.shards {
 		if err := e.Close(th); err != nil && first == nil {
@@ -786,21 +482,12 @@ func (sh *Sharded) BlockCacheStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// GroupCommitStats reports the router's batching effectiveness: groups
-// committed, write requests coalesced into them, and cross-shard two-phase
-// batches.
-func (sh *Sharded) GroupCommitStats() (groups, groupedOps, crossShardBatches int64) {
-	return sh.stats.groups.Load(), sh.stats.groupedOps.Load(), sh.stats.crossBatch.Load()
-}
-
-// GroupCommitHists exposes the group-size and caller-wait histograms.
-func (sh *Sharded) GroupCommitHists() (batchSize, waitNs *histogram.H) {
-	return sh.batchHist, sh.waitHist
-}
+// CrossShardBatches reports the cross-shard two-phase batches committed.
+func (sh *Sharded) CrossShardBatches() int64 { return sh.crossBatches.Load() }
 
 // RegisterObs publishes aggregate engine counters under the standard names
 // (so existing dashboards keep working), per-shard labeled variants, and the
-// group-commit instrumentation.
+// cross-shard batch count.
 func (sh *Sharded) RegisterObs(r *obs.Registry) {
 	sum := func(f func(*Stats) int64) func() int64 {
 		return func() int64 {
@@ -877,13 +564,7 @@ func (sh *Sharded) RegisterObs(r *obs.Registry) {
 	r.Counter("flow_dwell_slowdown_ns", flowSum(func(s FlowStats) int64 { return s.DwellSlowdownNs }))
 	r.Counter("flow_dwell_stop_ns", flowSum(func(s FlowStats) int64 { return s.DwellStopNs }))
 
-	r.Counter("group_commits", func() int64 { return sh.stats.groups.Load() })
-	r.Counter("group_commit_ops", func() int64 { return sh.stats.groupedOps.Load() })
-	r.Counter("cross_shard_batches", func() int64 { return sh.stats.crossBatch.Load() })
-	r.Gauge("group_commit_batch_mean", func() float64 { return sh.batchHist.Mean() })
-	r.Gauge("group_commit_batch_p99", func() float64 { return float64(sh.batchHist.Percentile(0.99)) })
-	r.Gauge("group_commit_wait_mean_ns", func() float64 { return sh.waitHist.Mean() })
-	r.Gauge("group_commit_wait_p99_ns", func() float64 { return float64(sh.waitHist.Percentile(0.99)) })
+	r.Counter("cross_shard_batches", sh.CrossShardBatches)
 
 	for k := range sh.shards {
 		k := k
@@ -891,7 +572,6 @@ func (sh *Sharded) RegisterObs(r *obs.Registry) {
 		r.Counter(fmt.Sprintf("shard%d_engine_puts", k), func() int64 { return e.stats.Puts.Load() })
 		r.Counter(fmt.Sprintf("shard%d_engine_gets", k), func() int64 { return e.stats.Gets.Load() })
 		r.Counter(fmt.Sprintf("shard%d_engine_flushes", k), func() int64 { return e.stats.Flushes.Load() })
-		r.Counter(fmt.Sprintf("shard%d_group_commits", k), func() int64 { return sh.perShardGroups[k].Load() })
 		r.Gauge(fmt.Sprintf("shard%d_flow_state", k), func() float64 { return float64(e.flow.current()) })
 	}
 }

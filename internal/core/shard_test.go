@@ -101,19 +101,7 @@ func TestShardRoutingStable(t *testing.T) {
 	}
 }
 
-func TestShardedWriterPinning(t *testing.T) {
-	m := testMachine()
-	sh, th := openSharded(t, m, smallShardedOpts(8))
-	defer sh.Close(th)
-	cores := m.Cores()
-	for k := 0; k < sh.Shards(); k++ {
-		if got, want := sh.WriterCore(k), k%cores; got != want {
-			t.Fatalf("shard %d writer pinned to core %d, want %d", k, got, want)
-		}
-	}
-}
-
-func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
+func TestShardedConcurrentWriters(t *testing.T) {
 	m := testMachine()
 	sh, th := openSharded(t, m, smallShardedOpts(4))
 	defer sh.Close(th)
@@ -154,20 +142,38 @@ func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
 		}
 	}
 
-	groups, ops, _ := sh.GroupCommitStats()
-	if ops != writers*per {
-		t.Fatalf("group commit saw %d ops, want %d", ops, writers*per)
+	var puts int64
+	for k := 0; k < sh.Shards(); k++ {
+		puts += sh.Shard(k).GetStats().Puts.Load()
 	}
-	if groups <= 0 || groups > ops {
-		t.Fatalf("implausible group count %d for %d ops", groups, ops)
+	if puts != writers*per {
+		t.Fatalf("shards committed %d puts, want %d", puts, writers*per)
 	}
-	batch, wait := sh.GroupCommitHists()
-	if batch.Count() != groups {
-		t.Fatalf("batch histogram count %d != groups %d", batch.Count(), groups)
+}
+
+// TestShardedSameCoreWriters is TestSameCoreWriters through the router: two
+// writers on one core commit into the same sub-MemTable of each shard.
+func TestShardedSameCoreWriters(t *testing.T) {
+	m := testMachine()
+	sh, th := openSharded(t, m, smallShardedOpts(2))
+	defer sh.Close(th)
+	const writers, per = 2, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wth := m.NewThread(0)
+			for i := 0; i < per; i++ {
+				if err := sh.Put(wth, sameCoreKey(w, i), sameCoreValue(w, i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
 	}
-	if wait.Count() != ops {
-		t.Fatalf("wait histogram count %d != ops %d", wait.Count(), ops)
-	}
+	wg.Wait()
+	checkSameCoreWrites(t, sh, th, writers, per)
 }
 
 func crashAndReopenSharded(t *testing.T, m *hw.Machine, so ShardedOptions) (*Sharded, *hw.Thread) {
@@ -236,7 +242,7 @@ func TestShardedCrossShardBatchCommitAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, cross := sh.GroupCommitStats(); cross != int64(nBatches) {
+	if cross := sh.CrossShardBatches(); cross != int64(nBatches) {
 		t.Fatalf("cross-shard batch count %d, want %d", cross, nBatches)
 	}
 

@@ -1,7 +1,7 @@
 package core
 
 // twopc.go implements the two-phase commit protocol for cross-shard atomic
-// batches (DESIGN.md §8.3). A batch whose keys span several shards cannot be
+// batches (DESIGN.md §8.2). A batch whose keys span several shards cannot be
 // committed by one header CAS, so the router writes write-ahead records:
 //
 //	prepare (per shard k, into cachekv.s<k>.2pc):
@@ -298,10 +298,10 @@ func (t *twoPC) abort() {
 
 // commit runs the two-phase protocol for portions (ascending shard order):
 // prepare records on every participant, one fence, then the commit marker and
-// its fence — the commit point — and finally the portions flow through each
-// shard's group-commit writer. The caller's thread performs all log appends
-// under t.mu, so the persistence-op stream is deterministic for a
-// single-threaded workload (crashsweep relies on this).
+// its fence — the commit point — and finally each portion's commit into its
+// shard. The caller's thread performs every step, the log appends under t.mu,
+// so the persistence-op stream is deterministic for a single-threaded
+// workload (crashsweep relies on this).
 //
 // deadlineV (0 = none) is enforced strictly BEFORE the first prepare record:
 // every participant shard must admit the batch, and the deadline is
@@ -376,42 +376,21 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 	t.inflight++
 	t.mu.Unlock()
 
-	// Apply each portion through its shard's writer. Submissions share one
-	// virtual arrival stamp so the shards absorb their portions in parallel
-	// virtual time; the host-side waits are sequential for determinism.
-	at := th.Clock.Now()
-	doneV := at
+	// Apply each portion on the caller's thread, one shard after another,
+	// through the same commitOps a single-shard write uses. No deadline: the
+	// commit marker already landed, so the apply must run to completion
+	// however stalled a shard is.
 	var applyErr error
-	th.InPhase(hw.PhaseLock, func() {
-		for _, p := range portions {
-			var bytes uint64
-			for _, op := range p.ops {
-				bytes += uint64(len(op.key)+len(op.value)) + 24
-			}
-			// deadlineV stays zero: the commit marker already landed, so the
-			// apply must run to completion however stalled the shard is.
-			req := &writeReq{ops: p.ops, seqs: p.seqs, bytes: bytes, at: at, done: make(chan struct{})}
-			if err := sh.writers[p.shard].submit(req); err != nil {
-				if applyErr == nil {
-					applyErr = err
-				}
-				continue
-			}
-			<-req.done
-			if req.err != nil && applyErr == nil {
-				applyErr = req.err
-			}
-			if req.doneV > doneV {
-				doneV = req.doneV
-			}
+	for _, p := range portions {
+		if err := sh.shards[p.shard].commitOps(th, p.ops, p.seqs, 0); err != nil && applyErr == nil {
+			applyErr = err
 		}
-		th.Clock.AdvanceTo(doneV)
-	})
+	}
 
 	t.mu.Lock()
 	t.inflight--
 	t.cond.Broadcast()
 	t.mu.Unlock()
-	sh.stats.crossBatch.Add(1)
+	sh.crossBatches.Add(1)
 	return applyErr
 }

@@ -1,11 +1,11 @@
 package faultinject
 
 // crossshard.go extends the crash-schedule harness to the sharded router's
-// cross-shard atomic batches (DESIGN.md §8.3). The workload is a sequence of
+// cross-shard atomic batches (DESIGN.md §8.2). The workload is a sequence of
 // batches, each spanning at least two shards, so every mutation flows through
 // the two-phase commit protocol: prepare records on every participant shard,
-// one fence, a commit marker, a second fence (the commit point), then the
-// portions drain through the per-shard group-commit writers.
+// one fence, a commit marker, a second fence (the commit point), then each
+// portion commits into its shard on the caller's thread, one after another.
 //
 // The oracle is all-or-nothing: after a crash at any event and recovery,
 // every batch is either fully visible on all of its shards or fully invisible

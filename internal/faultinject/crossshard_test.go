@@ -125,9 +125,10 @@ func TestCrashSweepCrossShardEdges(t *testing.T) {
 }
 
 // TestCrashSweepShardedSingleKey runs the classic single-key workload sweep
-// against the sharded router, covering the group-commit write path (WAL
-// append + fence per coalesced group) under crash schedules with the standard
-// oracle: durable under eADR, validity-only under ADR.
+// against the sharded router, covering its write path (admission on the
+// owning shard, then one append and header CAS on the caller's core) under
+// crash schedules with the standard oracle: durable under eADR, validity-only
+// under ADR.
 func TestCrashSweepShardedSingleKey(t *testing.T) {
 	per := 8
 	if testing.Short() {

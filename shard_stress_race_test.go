@@ -73,8 +73,8 @@ func TestStressShardedCrossBatches(t *testing.T) {
 				}
 			}(w)
 		}
-		// Scanners and point readers share cores with the writers and the
-		// shards' group-commit threads.
+		// Scanners and point readers run beside the writers, whose commits
+		// land in every shard's sub-MemTable for the writer's core.
 		for rdr := 0; rdr < 2; rdr++ {
 			wg.Add(1)
 			go func(rdr int) {
